@@ -8,6 +8,12 @@
 //! `bench_guard` gates CI on the same-run ratio: socket end-to-end
 //! must stay within 3x direct, so wire overhead cannot silently come
 //! to dominate compile time.
+//!
+//! A third row, `socket_cached`, serves the same jobs from a fleet whose
+//! result cache already holds every schedule, so each request is a
+//! cache hit: what is left is the per-request cost of the served path
+//! itself (framing, JSON, QASM parsing, admission, cache lookup, and the
+//! completion frame).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fastsc_bench::record::{self, BenchRecord};
@@ -46,9 +52,14 @@ fn qasm_payloads(jobs: &[CompileJob]) -> Vec<(String, String)> {
 /// A single-device fleet with result caching **disabled**: the bench
 /// compares transport paths, so every iteration must really compile.
 fn uncached_service() -> CompileService {
+    service_with_cache(0)
+}
+
+/// A single-device fleet whose result cache holds `capacity` schedules.
+fn service_with_cache(capacity: usize) -> CompileService {
     let mut service = CompileService::new(LeastLoaded::new());
     service
-        .register_device_with_cache(Device::grid(3, 3, 7), CompilerConfig::default(), 0)
+        .register_device_with_cache(Device::grid(3, 3, 7), CompilerConfig::default(), capacity)
         .expect("device frequency plan solves");
     service
 }
@@ -92,15 +103,28 @@ fn run_direct(queue: &QueueService, jobs: &[CompileJob]) -> usize {
 }
 
 /// One socket run: serial submit+wait per job over the framed TCP
-/// connection, QASM parsed server-side on every submission.
-fn run_socket(client: &mut Client, payloads: &[(String, String)]) -> usize {
+/// connection, QASM parsed server-side on every submission. Returns the
+/// `cache_hit` flag of every successful job.
+fn run_socket(client: &mut Client, payloads: &[(String, String)]) -> Vec<bool> {
     payloads
         .iter()
-        .filter(|(qasm, strategy)| {
+        .filter_map(|(qasm, strategy)| {
             let job = client.submit(qasm, strategy, "batch", None).expect("submit is admitted");
-            matches!(client.wait(job, 60_000), Ok(Some(outcome)) if outcome.ok)
+            match client.wait(job, 60_000) {
+                Ok(Some(outcome)) if outcome.ok => Some(outcome.cache_hit == Some(true)),
+                _ => None,
+            }
         })
-        .count()
+        .collect()
+}
+
+/// A loopback server over `service` and an authenticated client of it.
+fn serve(service: CompileService) -> (Server, Client) {
+    let server = Server::start(queue_over(service), vec![bench_tenant()])
+        .expect("loopback server starts");
+    let mut client = Client::connect(server.addr()).expect("loopback connect");
+    client.hello("bench-token").expect("token authenticates");
+    (server, client)
 }
 
 fn bench_socket_vs_direct(c: &mut Criterion) {
@@ -114,10 +138,7 @@ fn bench_socket_vs_direct(c: &mut Criterion) {
         b.iter(|| run_direct(&direct, jobs))
     });
 
-    let server = Server::start(queue_over(uncached_service()), vec![bench_tenant()])
-        .expect("loopback server starts");
-    let mut client = Client::connect(server.addr()).expect("loopback connect");
-    client.hello("bench-token").expect("token authenticates");
+    let (server, mut client) = serve(uncached_service());
     group.bench_with_input(BenchmarkId::from_parameter("socket"), &payloads, |b, payloads| {
         b.iter(|| run_socket(&mut client, payloads))
     });
@@ -140,12 +161,19 @@ fn emit_bench_json() {
         criterion::black_box(run_direct(&direct, &jobs));
     });
 
-    let server = Server::start(queue_over(uncached_service()), vec![bench_tenant()])
-        .expect("loopback server starts");
-    let mut client = Client::connect(server.addr()).expect("loopback connect");
-    client.hello("bench-token").expect("token authenticates");
+    let (server, mut client) = serve(uncached_service());
     let socket_ns = record::median_ns(samples, || {
         criterion::black_box(run_socket(&mut client, &payloads));
+    });
+    drop(client);
+    drop(server);
+
+    // Warm the cache with one untimed pass; every timed request hits.
+    let (server, mut client) = serve(service_with_cache(jobs.len()));
+    assert_eq!(run_socket(&mut client, &payloads).len(), jobs.len(), "warm-up compiles");
+    let cached_ns = record::median_ns(samples, || {
+        let hits = run_socket(&mut client, &payloads);
+        assert!(hits.len() == jobs.len() && hits.iter().all(|&hit| hit), "every job hits");
     });
     drop(client);
     drop(server);
@@ -153,14 +181,17 @@ fn emit_bench_json() {
     let path = record::record(&[
         BenchRecord::new("server_roundtrip", "direct", direct_ns),
         BenchRecord::new("server_roundtrip", "socket", socket_ns),
+        BenchRecord::new("server_roundtrip", "socket_cached", cached_ns),
     ]);
     println!("recorded server_roundtrip medians to {}", path.display());
     println!(
-        "server_roundtrip ({} jobs): direct {:.2} ms, socket {:.2} ms (ratio {:.2})",
+        "server_roundtrip ({} jobs): direct {:.2} ms, socket {:.2} ms (ratio {:.2}), \
+         socket_cached {:.2} ms",
         jobs.len(),
         direct_ns as f64 / 1e6,
         socket_ns as f64 / 1e6,
-        socket_ns as f64 / direct_ns as f64
+        socket_ns as f64 / direct_ns as f64,
+        cached_ns as f64 / 1e6
     );
 }
 

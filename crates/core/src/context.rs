@@ -25,7 +25,7 @@ use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// The program-independent static frequency assignment shared by
 /// Baseline S and Baseline G: one Welsh–Powell coloring of the full
@@ -86,6 +86,15 @@ impl SmtKey {
     }
 }
 
+/// One `smt_find` memo entry: the solved value once there is one, and the
+/// lock its solver holds, so callers that race on a cold key wait for
+/// the one solve instead of repeating it.
+#[derive(Debug, Default)]
+struct SmtSlot {
+    value: OnceLock<Arc<Vec<f64>>>,
+    solving: Mutex<()>,
+}
+
 /// Per-device precomputation shared across compiles (see the
 /// [module docs](self)).
 ///
@@ -132,12 +141,12 @@ pub struct CompileContext {
     /// when partitioning is disabled or the device does not split.
     partitioned:
         OnceLock<Result<Option<Arc<crate::partition::PartitionedState>>, CompileError>>,
-    /// Concurrent `smt_find` memo keyed by `(k, band, alpha, tol)`.
-    /// Behind an `Arc` so region sub-contexts of a partitioned device
-    /// share the parent's memo: the key includes every input of the
-    /// solve, so a region never re-derives a value the whole device (or
-    /// a sibling region) already solved.
-    smt_memo: Arc<RwLock<HashMap<SmtKey, Arc<Vec<f64>>>>>,
+    /// Concurrent single-flight `smt_find` memo keyed by `(k, band,
+    /// alpha, tol)`. Behind an `Arc` so region sub-contexts of a
+    /// partitioned device share the parent's memo: the key includes
+    /// every input of the solve, so a region never re-derives a value
+    /// the whole device (or a sibling region) already solved.
+    smt_memo: Arc<RwLock<HashMap<SmtKey, Arc<SmtSlot>>>>,
     /// Hard cap on memoized `smt_find` entries (see
     /// [`smt_memo_capacity`](Self::smt_memo_capacity)).
     smt_memo_capacity: usize,
@@ -349,41 +358,63 @@ impl CompileContext {
     /// returns the `k` frequencies (descending) plus whether this call
     /// actually invoked the solver (`true` on a memo miss).
     ///
-    /// Hits are retained up to [`smt_memo_capacity`]
+    /// The memo is single-flight: each distinct key is solved exactly
+    /// once, however many threads miss it at the same moment — the
+    /// first holds the key's slot lock while it solves, and the rest
+    /// wait and then hit. So the solver count (and every counter fed by
+    /// it) is a function of the keys asked for, not of thread timing.
+    ///
+    /// Keys are retained up to [`smt_memo_capacity`]
     /// (Self::smt_memo_capacity); beyond the cap, distinct keys are still
     /// solved correctly but not memoized. `smt_find` is a pure function
-    /// of the key, so a warm hit is bit-identical to a fresh solve. The
-    /// solver runs outside the lock; when two threads race on the same
-    /// key the first insert wins and both observe the identical value.
+    /// of the key, so a warm hit is bit-identical to a fresh solve.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError::FrequencyBandExhausted`] from
-    /// `smt_find` (errors are not memoized).
+    /// `smt_find` (errors are not memoized: the key's slot stays empty
+    /// and the next caller solves again).
     pub fn smt_frequencies(&self, k: usize) -> Result<(Arc<Vec<f64>>, bool), CompileError> {
         let key = SmtKey::new(k, self.band, self.alpha, self.config.smt_tolerance);
-        if let Some(hit) = self.read_memo(&key) {
+        let hit = self.read_memo().get(&key).and_then(|slot| slot.value.get().map(Arc::clone));
+        if let Some(hit) = hit {
             fastsc_telemetry::metrics().smt_memo_hits.inc();
             return Ok((hit, false));
         }
+        let Some(slot) = self.memo_slot(key) else {
+            // Memo full: hand the caller its solve without retaining it.
+            return Ok((self.solve_smt(k)?, true));
+        };
+        let _solving = slot.solving.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = slot.value.get() {
+            // Another caller solved this key while we waited.
+            fastsc_telemetry::metrics().smt_memo_hits.inc();
+            return Ok((Arc::clone(hit), false));
+        }
+        let solved = self.solve_smt(k)?;
+        // A concurrent seed may have filled the slot; its value is the
+        // same pure function of the key, and the first one stays.
+        Ok((Arc::clone(slot.value.get_or_init(|| solved)), true))
+    }
+
+    /// The memo slot for `key`, created empty on first request; `None`
+    /// when the key is absent and the memo is at capacity.
+    fn memo_slot(&self, key: SmtKey) -> Option<Arc<SmtSlot>> {
+        let mut memo = self.smt_memo.write().unwrap_or_else(PoisonError::into_inner);
+        if !memo.contains_key(&key) && memo.len() >= self.smt_memo_capacity {
+            return None;
+        }
+        Some(Arc::clone(memo.entry(key).or_default()))
+    }
+
+    /// One timed, counted `smt_find` solve.
+    fn solve_smt(&self, k: usize) -> Result<Arc<Vec<f64>>, CompileError> {
         let solve_started = std::time::Instant::now();
-        let solved =
-            Arc::new(frequency::smt_find(k, self.band, self.alpha, self.config.smt_tolerance)?);
+        let solved = frequency::smt_find(k, self.band, self.alpha, self.config.smt_tolerance)?;
         let registry = fastsc_telemetry::metrics();
         registry.smt_solves.inc();
         registry.smt_solve.observe(solve_started.elapsed());
-        let mut memo = self.smt_memo.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let value = match memo.get(&key) {
-            // A concurrent solver won the race: its value is canonical.
-            Some(existing) => Arc::clone(existing),
-            None if memo.len() < self.smt_memo_capacity => {
-                memo.insert(key, Arc::clone(&solved));
-                solved
-            }
-            // Memo full: hand the caller its solve without retaining it.
-            None => solved,
-        };
-        Ok((value, true))
+        Ok(Arc::new(solved))
     }
 
     /// Adopts a persisted static assignment, skipping the Welsh–Powell
@@ -416,9 +447,10 @@ impl CompileContext {
 
     /// Every memoized `smt_find` result in portable form, sorted by key.
     pub fn export_smt_memo(&self) -> Vec<SmtMemoEntry> {
-        let memo = self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let memo = self.read_memo();
         let mut entries: Vec<SmtMemoEntry> = memo
             .iter()
+            .filter_map(|(key, slot)| Some((key, slot.value.get()?)))
             .map(|(key, values)| SmtMemoEntry {
                 k: key.k,
                 band_lo: key.band_lo,
@@ -442,7 +474,7 @@ impl CompileContext {
     /// matches `k`, the key is not already memoized (first write wins,
     /// as everywhere in the stack), and the capacity allows it.
     pub fn seed_smt_memo(&self, entries: impl IntoIterator<Item = SmtMemoEntry>) -> usize {
-        let mut memo = self.smt_memo.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut memo = self.smt_memo.write().unwrap_or_else(PoisonError::into_inner);
         let mut adopted = 0;
         for e in entries {
             let key = SmtKey {
@@ -456,26 +488,32 @@ impl CompileContext {
                 && key.band_hi == self.band.hi.to_bits()
                 && key.alpha == self.alpha.to_bits()
                 && key.tol == self.config.smt_tolerance.to_bits();
-            if relevant
-                && e.values.len() == e.k
-                && memo.len() < self.smt_memo_capacity
-                && !memo.contains_key(&key)
-            {
-                memo.insert(key, Arc::new(e.values));
+            if !relevant || e.values.len() != e.k {
+                continue;
+            }
+            // An empty slot (a solve in flight, or one that failed) takes
+            // the seed; a filled one keeps its value.
+            let slot = match memo.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None if memo.len() < self.smt_memo_capacity => {
+                    Arc::clone(memo.entry(key).or_default())
+                }
+                None => continue,
+            };
+            if slot.value.set(Arc::new(e.values)).is_ok() {
                 adopted += 1;
             }
         }
         adopted
     }
 
-    fn read_memo(&self, key: &SmtKey) -> Option<Arc<Vec<f64>>> {
-        let memo = self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        memo.get(key).map(Arc::clone)
+    fn read_memo(&self) -> std::sync::RwLockReadGuard<'_, HashMap<SmtKey, Arc<SmtSlot>>> {
+        self.smt_memo.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of distinct `smt_find` results currently memoized.
     pub fn smt_memo_len(&self) -> usize {
-        self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.read_memo().values().filter(|slot| slot.value.get().is_some()).count()
     }
 }
 
@@ -532,6 +570,30 @@ mod tests {
         assert_eq!(first.len(), direct.len());
         for (a, b) in first.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits(), "memo must be bit-identical to a fresh solve");
+        }
+        assert_eq!(c.smt_memo_len(), 1);
+    }
+
+    #[test]
+    fn racing_misses_on_one_cold_key_solve_it_exactly_once() {
+        const THREADS: usize = 8;
+        let c = ctx();
+        let start = std::sync::Barrier::new(THREADS);
+        let results: Vec<(Arc<Vec<f64>>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        c.smt_frequencies(4).expect("fits")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        let solves = results.iter().filter(|(_, solved)| *solved).count();
+        assert_eq!(solves, 1, "{THREADS} racing callers must share one solve");
+        for (value, _) in &results {
+            assert!(Arc::ptr_eq(value, &results[0].0), "every caller sees the one solve");
         }
         assert_eq!(c.smt_memo_len(), 1);
     }

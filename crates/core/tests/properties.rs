@@ -3,9 +3,12 @@
 //! keep frequencies inside the partition, and honor its own serialization
 //! contract.
 
+use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy as Plan};
 use fastsc_device::Device;
-use fastsc_ir::{Circuit, Gate};
+use fastsc_ir::decompose::decompose;
+use fastsc_ir::optimize::peephole;
+use fastsc_ir::{Circuit, Gate, Instruction};
 use fastsc_noise::{estimate, NoiseConfig};
 use proptest::prelude::*;
 
@@ -89,28 +92,31 @@ proptest! {
     fn dependency_order_is_respected(
         program in arb_program(9, 24),
     ) {
-        // Gates on the same qubit must execute in program order under
-        // every strategy.
+        // Every physical qubit must see exactly the gates of the routed,
+        // lowered circuit, in that circuit's order, under every strategy.
         let device = Device::grid(3, 3, 5);
-        let compiler = Compiler::new(device, CompilerConfig::default());
+        let config = CompilerConfig::default();
+        let routed = route(&program, &device).expect("routes");
+        let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
+        let mut expected: Vec<Vec<Instruction>> = vec![Vec::new(); device.n_qubits()];
+        for inst in lowered.instructions() {
+            for q in inst.qubits() {
+                expected[q].push(*inst);
+            }
+        }
+        let compiler = Compiler::new(device, config);
         for strategy in Plan::all() {
             let compiled = compiler.compile(&program, strategy).expect("compiles");
-            // Rebuild per-qubit gate streams from the schedule and verify
-            // single-qubit rotation angles appear in program order
-            // (two-qubit operands are permuted by routing, but relative
-            // order per physical qubit is what execution correctness
-            // needs, and that is what cycles encode).
-            let mut last_cycle_on_qubit = vec![0usize; compiled.schedule.n_qubits()];
-            for (idx, cycle) in compiled.schedule.cycles().iter().enumerate() {
+            let mut scheduled: Vec<Vec<Instruction>> = vec![Vec::new(); expected.len()];
+            for cycle in compiled.schedule.cycles() {
                 for g in &cycle.gates {
                     for q in g.instruction.qubits() {
-                        prop_assert!(
-                            last_cycle_on_qubit[q] <= idx + 1,
-                            "strategy {} reordered qubit {}", strategy, q
-                        );
-                        last_cycle_on_qubit[q] = idx + 1;
+                        scheduled[q].push(g.instruction);
                     }
                 }
+            }
+            for (q, (got, want)) in scheduled.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(got, want, "strategy {} reordered qubit {}", strategy, q);
             }
         }
     }

@@ -296,8 +296,7 @@ pub fn from_qasm(source: &str) -> Result<Circuit, QasmError> {
     let mut circuit: Option<Circuit> = None;
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let code = raw.split("//").next().unwrap_or("");
-        let line = code.trim();
+        let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
@@ -322,7 +321,7 @@ pub fn from_qasm(source: &str) -> Result<Circuit, QasmError> {
                     column: column_of(raw, stmt),
                 });
             }
-            let n = parse_register_size(rest).ok_or_else(|| QasmError::BadRegister {
+            let n = bracketed_index(rest).ok_or_else(|| QasmError::BadRegister {
                 line: line_no,
                 column: column_of(raw, stmt),
                 token: stmt.to_string(),
@@ -336,20 +335,23 @@ pub fn from_qasm(source: &str) -> Result<Circuit, QasmError> {
     circuit.ok_or(QasmError::MissingRegister)
 }
 
-fn parse_register_size(rest: &str) -> Option<usize> {
-    // e.g. ` q[16]`
-    let rest = rest.trim();
-    let open = rest.find('[')?;
-    let close = rest.find(']')?;
-    rest[open + 1..close].parse().ok()
+/// `raw` up to its first `//` comment marker, found by a plain byte scan
+/// (a lone `/` is ordinary text).
+fn strip_comment(raw: &str) -> &str {
+    match raw.as_bytes().windows(2).position(|pair| pair == b"//") {
+        Some(marker) => &raw[..marker],
+        None => raw,
+    }
 }
 
-fn parse_qubit(token: &str) -> Option<usize> {
-    // e.g. `q[3]`
-    let token = token.trim();
-    let open = token.find('[')?;
-    let close = token.find(']')?;
-    token[open + 1..close].parse().ok()
+/// The number between the first `[` and the first `]` of `text` (the `16`
+/// of ` q[16]`, the `3` of `q[3]`); `None` when either bracket is
+/// missing, they are out of order, or the text between them is not a
+/// `usize`.
+fn bracketed_index(text: &str) -> Option<usize> {
+    let open = text.find('[')?;
+    let close = text.find(']')?;
+    text.get(open + 1..close)?.parse().ok()
 }
 
 /// Parses and applies one gate statement. `stmt` and every token the
@@ -370,16 +372,21 @@ fn parse_gate_statement(
         });
     };
 
-    let mut operands = Vec::new();
-    let mut operand_tokens = Vec::new();
+    // No gate takes more than two operands: keep the first two with their
+    // source tokens and only count the rest, which are still validated in
+    // order.
+    let mut operands = [(0usize, ""); 2];
+    let mut got = 0;
     for token in args.split(',') {
-        let qubit = parse_qubit(token).ok_or_else(|| QasmError::BadOperand {
+        let qubit = bracketed_index(token).ok_or_else(|| QasmError::BadOperand {
             line,
             column: column_of(raw, token.trim_start()),
             token: token.trim().to_string(),
         })?;
-        operands.push(qubit);
-        operand_tokens.push(token);
+        if let Some(slot) = operands.get_mut(got) {
+            *slot = (qubit, token);
+        }
+        got += 1;
     }
 
     // Parameterized heads look like `rx(1.5707963267948966)`.
@@ -425,16 +432,16 @@ fn parse_gate_statement(
         }
     };
 
-    let pushed = match (gate.arity(), operands.as_slice()) {
-        (1, &[q]) => circuit.push1(gate, q).map(|_| ()),
-        (2, &[a, b]) => circuit.push2(gate, a, b).map(|_| ()),
-        (arity, ops) => {
+    let pushed = match (gate.arity(), got) {
+        (1, 1) => circuit.push1(gate, operands[0].0).map(|_| ()),
+        (2, 2) => circuit.push2(gate, operands[0].0, operands[1].0).map(|_| ()),
+        (expected, got) => {
             return Err(QasmError::WrongArity {
                 line,
                 column: column_of(raw, head),
                 gate: name.to_string(),
-                expected: arity,
-                got: ops.len(),
+                expected,
+                got,
             })
         }
     };
@@ -442,11 +449,10 @@ fn parse_gate_statement(
         // Locate the operand the circuit rejected so the column points at
         // it, not at the whole statement.
         let column_of_qubit = |qubit: usize| {
-            operands
-                .iter()
-                .position(|&q| q == qubit)
-                .map(|i| column_of(raw, operand_tokens[i].trim_start()))
-                .unwrap_or_else(|| column_of(raw, stmt))
+            operands[..got].iter().find(|&&(q, _)| q == qubit).map_or_else(
+                || column_of(raw, stmt),
+                |(_, token)| column_of(raw, token.trim_start()),
+            )
         };
         match e {
             IrError::QubitOutOfRange { qubit, n_qubits } => QasmError::QubitOutOfRange {
@@ -491,6 +497,11 @@ pub fn malformed_corpus() -> &'static [(&'static str, &'static str)] {
         ("bad_angle_unterminated", "qreg q[1];\nrx(1.0 q[0];\n"),
         ("bad_operand_not_indexed", "qreg q[2];\ncx q[0], nope;\n"),
         ("truncated_mid_operand", "qreg q[2];\ncx q[0], q[;\n"),
+        ("bad_arity_cx_three_operands", "qreg q[3];\ncx q[0], q[1], q[2];\n"),
+        ("bad_third_operand", "qreg q[3];\ncx q[0], q[1], nope;\n"),
+        ("lone_slash_is_not_a_comment", "qreg q[1];\nh q[0]; /\n"),
+        ("operand_brackets_reversed", "qreg q[1];\nh ]q[;\n"),
+        ("register_brackets_reversed", "qreg ]q[;\n"),
     ]
 }
 
@@ -634,10 +645,68 @@ mod tests {
 
     #[test]
     fn every_corpus_entry_fails_with_a_typed_error() {
-        for (name, source) in malformed_corpus() {
+        use QasmError::*;
+        let bad_register =
+            |token: &str| BadRegister { line: 1, column: 1, token: token.into() };
+        let arity = |gate: &str, expected, got| WrongArity {
+            line: 2,
+            column: 1,
+            gate: gate.into(),
+            expected,
+            got,
+        };
+        let pinned = [
+            ("empty", MissingRegister),
+            ("only_comment", MissingRegister),
+            ("no_register", MissingRegister),
+            ("gate_before_register", MissingRegister),
+            ("missing_semicolon", MissingSemicolon { line: 1, column: 10 }),
+            ("comment_swallows_semicolon", MissingSemicolon { line: 2, column: 7 }),
+            ("bad_register_empty_size", bad_register("qreg q[]")),
+            ("bad_register_no_brackets", bad_register("qreg q")),
+            ("bad_register_negative", bad_register("qreg q[-3]")),
+            ("duplicate_register", DuplicateRegister { line: 2, column: 1 }),
+            ("unknown_gate", UnsupportedGate { line: 2, column: 1, token: "ccx".into() }),
+            (
+                "unknown_statement",
+                UnsupportedGate { line: 2, column: 1, token: "measure".into() },
+            ),
+            ("bad_arity_cx_one_operand", arity("cx", 2, 1)),
+            ("bad_arity_h_two_operands", arity("h", 1, 2)),
+            (
+                "out_of_range_operand",
+                QubitOutOfRange { line: 2, column: 3, qubit: 4, register: 1 },
+            ),
+            ("duplicate_operand", DuplicateOperand { line: 2, column: 4, qubit: 1 }),
+            (
+                "bad_angle_not_a_number",
+                BadAngle { line: 2, column: 4, token: "rx(nope)".into() },
+            ),
+            ("bad_angle_unterminated", BadAngle { line: 2, column: 4, token: "rx(1.0".into() }),
+            (
+                "bad_operand_not_indexed",
+                BadOperand { line: 2, column: 10, token: "nope".into() },
+            ),
+            ("truncated_mid_operand", BadOperand { line: 2, column: 10, token: "q[".into() }),
+            // Operands past the two a gate can use are still counted...
+            ("bad_arity_cx_three_operands", arity("cx", 2, 3)),
+            // ...and validated, in order.
+            ("bad_third_operand", BadOperand { line: 2, column: 16, token: "nope".into() }),
+            ("lone_slash_is_not_a_comment", MissingSemicolon { line: 2, column: 10 }),
+            (
+                "operand_brackets_reversed",
+                BadOperand { line: 2, column: 3, token: "]q[".into() },
+            ),
+            ("register_brackets_reversed", bad_register("qreg ]q[")),
+        ];
+        let corpus = malformed_corpus();
+        assert_eq!(corpus.len(), pinned.len(), "pin every corpus entry");
+        for ((name, source), (pinned_name, expected)) in corpus.iter().zip(pinned) {
+            assert_eq!(*name, pinned_name);
             let err = from_qasm(source)
                 .map(|_| ())
                 .expect_err(&format!("corpus entry '{name}' must fail"));
+            assert_eq!(err, expected, "{name}");
             // Every error renders and exposes its stable code; location
             // accessors agree with the variant's payload.
             assert!(!err.to_string().is_empty(), "{name}");

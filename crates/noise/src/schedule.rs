@@ -3,6 +3,7 @@
 
 use fastsc_ir::{Instruction, Operands};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One gate placed in a cycle, with its interaction frequency when it is a
 /// two-qubit (resonance) gate.
@@ -84,12 +85,26 @@ impl CycleScratch {
 pub struct Schedule {
     n_qubits: usize,
     cycles: Vec<Cycle>,
+    /// [`stable_hash`](Self::stable_hash), filled on first use.
+    digest: DigestMemo,
+}
+
+/// The memoized schedule digest. It is derived state, so it compares
+/// equal whether or not it is filled: a schedule equals its clone before
+/// and after either one is hashed.
+#[derive(Debug, Clone, Default)]
+struct DigestMemo(OnceLock<u64>);
+
+impl PartialEq for DigestMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Schedule {
     /// An empty schedule over `n_qubits` device qubits.
     pub fn new(n_qubits: usize) -> Self {
-        Schedule { n_qubits, cycles: Vec::new() }
+        Schedule { n_qubits, cycles: Vec::new(), digest: DigestMemo::default() }
     }
 
     /// Appends a cycle.
@@ -129,6 +144,7 @@ impl Schedule {
             }
         }
         self.cycles.push(cycle);
+        self.digest.0.take();
     }
 
     /// Number of device qubits.
@@ -182,7 +198,16 @@ impl Schedule {
     /// Exhaustive destructuring makes adding a field to [`Cycle`] or
     /// [`ScheduledGate`] a compile error here — the digest can never
     /// silently ignore new schedule state.
+    ///
+    /// The digest is computed on first call and memoized (appending a
+    /// cycle clears it), so a schedule shared behind an `Arc` — a cache
+    /// hit, a store-served or peer-imported artifact — is hashed once no
+    /// matter how many responses carry it.
     pub fn stable_hash(&self) -> u64 {
+        *self.digest.0.get_or_init(|| self.compute_stable_hash())
+    }
+
+    fn compute_stable_hash(&self) -> u64 {
         use fastsc_ir::hash::StableHasher;
         let mut h = StableHasher::new();
         h.write_usize(self.n_qubits);
@@ -335,6 +360,31 @@ mod tests {
         let mut negzero = build();
         negzero.cycles[0].duration_ns = -0.0;
         assert_ne!(zero.stable_hash(), negzero.stable_hash());
+    }
+
+    #[test]
+    fn digest_memo_matches_a_fresh_hash_and_tracks_mutation() {
+        let mut s = Schedule::new(3);
+        s.push_cycle(cycle(vec![gate1(Gate::H, 0)], 3, 25.0));
+        let unhashed = s.clone();
+        let first = s.stable_hash();
+        assert_eq!(first, s.compute_stable_hash(), "memo equals a fresh computation");
+        assert_eq!(s.stable_hash(), first, "memo is stable");
+        // Filled or not, the memo never affects equality.
+        assert_eq!(s, unhashed);
+        assert_eq!(s.clone(), unhashed);
+        assert_eq!(s.clone().stable_hash(), unhashed.stable_hash());
+
+        // Appending a cycle invalidates the memo.
+        s.push_cycle(cycle(vec![gate2(Gate::Cz, 0, 1, 6.5)], 3, 70.0));
+        assert_ne!(s.stable_hash(), first);
+        assert_eq!(s.stable_hash(), s.compute_stable_hash());
+        let mut scratch = CycleScratch::new();
+        let second = s.stable_hash();
+        s.push_cycle_with(cycle(vec![], 3, 10.0), &mut scratch);
+        assert_ne!(s.stable_hash(), second);
+        assert_eq!(s.stable_hash(), s.compute_stable_hash());
+        assert_ne!(s, unhashed);
     }
 
     #[test]

@@ -15,7 +15,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// any allocation.
 pub const MAX_FRAME: usize = 4 << 20;
 
-/// Writes one frame: length prefix, then the payload, then a flush.
+/// Writes one frame — length prefix and payload assembled into one buffer
+/// and handed over in a single `write_all` — then flushes. On a
+/// `TCP_NODELAY` socket a separate 4-byte prefix write would go out as a
+/// packet of its own.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     let len = payload.len();
     if len > MAX_FRAME {
@@ -24,8 +27,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
         ));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -119,6 +124,37 @@ mod tests {
         assert_eq!(read_frame(&mut r, &stop).unwrap().unwrap(), "second 💡 frame");
         assert_eq!(read_frame(&mut r, &stop).unwrap().unwrap(), "");
         assert!(read_frame(&mut r, &stop).unwrap().is_none(), "clean EOF between frames");
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        for payload in ["", "x", r#"{"type":"result","ok":true}"#] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "payload {payload:?}");
+            let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+            expected.extend_from_slice(payload.as_bytes());
+            assert_eq!(w.bytes, expected);
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   carries the byte offset it happened at.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Nesting depth beyond which [`Json::parse`] rejects the document. Real
 /// protocol frames nest three levels deep; 64 leaves slack without
@@ -124,7 +125,7 @@ impl Json {
                 if n.is_finite() {
                     // Shortest round-trip form; integers print without a
                     // fraction, everything else with full precision.
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 } else {
                     // JSON has no NaN/Infinity; `null` is the least-bad
                     // lossy encoding (protocol frames never contain
@@ -173,23 +174,33 @@ impl Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no escape
+/// are copied as whole slices; only `"`, `\` and control characters are
+/// escaped (every byte of a multibyte UTF-8 character is `>= 0x80`, so
+/// escape points always fall on character boundaries).
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -472,9 +483,60 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let original = "line1\nline2\t\"quoted\" back\\slash \u{08}\u{0c}\u{1f} é 💡";
-        let encoded = Json::Str(original.into()).encode();
-        assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(original.into()));
+        let every_control_byte: String = (0u8..0x20).map(char::from).collect();
+        for original in [
+            "line1\nline2\t\"quoted\" back\\slash \u{08}\u{0c}\u{1f} é 💡",
+            &every_control_byte,
+        ] {
+            let encoded = Json::Str(original.into()).encode();
+            assert_eq!(encoded, encode_char_by_char(original));
+            assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(original.into()));
+        }
+    }
+
+    /// Reference string encoder: escapes one character at a time, so the
+    /// slice-copying encoder must match it byte for byte.
+    fn encode_char_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Characters weighted toward what the encoder treats specially:
+    /// quotes, backslashes, every control byte, and multibyte UTF-8.
+    fn arb_char() -> impl proptest::strategy::Strategy<Value = char> {
+        use proptest::prelude::*;
+        (0u8..4, any::<u32>()).prop_map(|(kind, raw)| match kind {
+            0 => ['"', '\\', '/', 'é', '💡', '\u{7f}', '\u{2028}'][raw as usize % 7],
+            1 => char::from((raw % 0x20) as u8),
+            2 => char::from((0x20 + raw % 0x5f) as u8),
+            _ => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_string_survives_encode_then_parse(
+            chars in proptest::collection::vec(arb_char(), 0..48),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let encoded = Json::str(s.as_str()).encode();
+            proptest::prop_assert_eq!(&encoded, &encode_char_by_char(&s));
+            proptest::prop_assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

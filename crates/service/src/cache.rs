@@ -150,15 +150,19 @@ pub struct ScheduleCache {
 struct Entry {
     program: Circuit,
     compiled: Arc<CompiledProgram>,
+    /// Inserted since the last [`ScheduleCache::take_dirty`]: an entry a
+    /// persistence layer has not yet flushed to disk.
+    dirty: bool,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     map: HashMap<CacheKey, Entry>,
     order: VecDeque<CacheKey>,
-    /// Keys inserted since the last [`ScheduleCache::take_dirty`] —
-    /// the entries a persistence layer has not yet flushed to disk.
-    dirty: Vec<CacheKey>,
+    /// Number of live entries marked dirty. The mark lives on the entry,
+    /// so eviction drops it too: the pending set never outgrows the cache,
+    /// whether or not a store ever drains it.
+    dirty: usize,
 }
 
 impl ScheduleCache {
@@ -218,22 +222,7 @@ impl ScheduleCache {
     /// entry (see the type docs) — in particular, a program colliding
     /// with a cached key simply stays uncached and recompiles each time.
     pub fn insert(&self, key: CacheKey, program: Circuit, value: Arc<CompiledProgram>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        if inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner.order.pop_front() {
-                inner.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(key, Entry { program, compiled: value });
-        inner.order.push_back(key);
-        inner.dirty.push(key);
+        self.insert_entry(key, Entry { program, compiled: value, dirty: true });
     }
 
     /// Inserts a pre-warmed entry *without* marking it dirty: artifacts
@@ -241,6 +230,10 @@ impl ScheduleCache {
     /// back to it. Semantics otherwise identical to
     /// [`insert`](Self::insert).
     pub fn insert_clean(&self, key: CacheKey, program: Circuit, value: Arc<CompiledProgram>) {
+        self.insert_entry(key, Entry { program, compiled: value, dirty: false });
+    }
+
+    fn insert_entry(&self, key: CacheKey, entry: Entry) {
         if self.capacity == 0 {
             return;
         }
@@ -250,33 +243,39 @@ impl ScheduleCache {
         }
         if inner.map.len() >= self.capacity {
             if let Some(oldest) = inner.order.pop_front() {
-                inner.map.remove(&oldest);
+                if inner.map.remove(&oldest).is_some_and(|evicted| evicted.dirty) {
+                    inner.dirty -= 1;
+                }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        inner.map.insert(key, Entry { program, compiled: value });
+        inner.dirty += usize::from(entry.dirty);
+        inner.map.insert(key, entry);
         inner.order.push_back(key);
     }
 
-    /// Drains the entries inserted since the last call, returning the
-    /// ones still cached (an entry evicted before its flush is simply
-    /// gone — the store only ever misses artifacts, never holds wrong
-    /// ones). Each triple carries the exact program so the collision
-    /// defense survives persistence.
+    /// Drains the entries inserted since the last call that are still
+    /// cached, in insertion order (an entry evicted before its flush is
+    /// simply gone — the store only ever misses artifacts, never holds
+    /// wrong ones). Each triple carries the exact program so the
+    /// collision defense survives persistence.
     pub fn take_dirty(&self) -> Vec<(CacheKey, Circuit, Arc<CompiledProgram>)> {
         let mut inner = self.lock();
-        let dirty = std::mem::take(&mut inner.dirty);
-        dirty
-            .into_iter()
+        let Inner { map, order, dirty } = &mut *inner;
+        *dirty = 0;
+        order
+            .iter()
             .filter_map(|key| {
-                inner.map.get(&key).map(|e| (key, e.program.clone(), Arc::clone(&e.compiled)))
+                let entry = map.get_mut(key)?;
+                std::mem::take(&mut entry.dirty)
+                    .then(|| (*key, entry.program.clone(), Arc::clone(&entry.compiled)))
             })
             .collect()
     }
 
-    /// Number of entries awaiting a flush.
+    /// Number of entries awaiting a flush (at most the number cached).
     pub fn dirty_len(&self) -> usize {
-        self.lock().dirty.len()
+        self.lock().dirty
     }
 
     /// Every cached entry, sorted by key — the fleet-export set.
@@ -458,6 +457,24 @@ mod tests {
         let dirty = cache.take_dirty();
         let keys: Vec<u64> = dirty.iter().map(|(k, _, _)| k.program_hash).collect();
         assert_eq!(keys, vec![2, 3], "the evicted entry is silently skipped");
+    }
+
+    #[test]
+    fn storeless_dirty_set_stays_bounded_by_capacity() {
+        // Nothing ever drains a cache without a store: the pending-flush
+        // set must still shrink with eviction instead of growing by one
+        // key per miss.
+        let cache = ScheduleCache::with_capacity(4);
+        let p = dummy_program(1);
+        for n in 0..3 * cache.capacity() as u64 {
+            cache.insert(key(n), circuit(), Arc::clone(&p));
+            assert!(cache.dirty_len() <= cache.capacity(), "after {} inserts", n + 1);
+        }
+        assert_eq!(cache.dirty_len(), cache.capacity());
+        let keys: Vec<u64> =
+            cache.take_dirty().iter().map(|(k, _, _)| k.program_hash).collect();
+        assert_eq!(keys, vec![8, 9, 10, 11], "only the live entries are pending");
+        assert_eq!(cache.dirty_len(), 0);
     }
 
     #[test]
