@@ -1,11 +1,13 @@
 //! Criterion benchmarks for the compilation pipeline (paper §VII-C and
 //! Fig. 13 top): end-to-end ColorDynamic compiles, plus the two leading
 //! cost centers called out in the paper — crosstalk-graph coloring and
-//! SMT frequency assignment.
+//! SMT frequency assignment — and the cold per-device setup the SMT
+//! solve dominates.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fastsc_bench::record::{self, BenchRecord};
-use fastsc_core::{frequency, Compiler, CompilerConfig, Strategy};
+use fastsc_bench::SEED;
+use fastsc_core::{frequency, CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
@@ -173,6 +175,26 @@ fn emit_scalability_json() {
     println!("recorded scalability medians to {}", path.display());
 }
 
+/// Records the cold per-device setup a fleet pays before its first
+/// compile: `CompileContext::new` plus the Baseline S/G static solve
+/// (`statics()`), whose `smt_find` (k = 9 on 3x3, 10 on 4x4 and 5x5)
+/// dominates it. One record per mesh, seed 2020, the mesh as strategy.
+fn emit_statics_cold_json() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let samples = if test_mode { 1 } else { 9 };
+    let records = [3usize, 4, 5].map(|side| {
+        let ns = record::median_ns(samples, || {
+            let device = Device::grid(side, side, SEED);
+            let context =
+                CompileContext::new(device, CompilerConfig::default()).expect("context builds");
+            criterion::black_box(context.statics().expect("statics solve").color_count);
+        });
+        BenchRecord::new("statics_cold", &format!("{side}x{side}"), ns)
+    });
+    let path = record::record(&records);
+    println!("recorded statics_cold medians to {}", path.display());
+}
+
 criterion_group!(
     benches,
     bench_end_to_end,
@@ -185,4 +207,5 @@ fn main() {
     benches();
     emit_bench_json();
     emit_scalability_json();
+    emit_statics_cold_json();
 }

@@ -332,4 +332,105 @@ mod tests {
             Err(other) => panic!("unexpected error {other}"),
         }
     }
+
+    #[test]
+    fn smt_find_is_pinned_on_the_workload_bands() {
+        // `smt_find` digests (FNV-1a over the f64 bits) for k = 1..=11 on
+        // the benchmark workload devices, recorded from the plain
+        // case-split solver before theory propagation: propagation may
+        // only change how fast a model is found, never which one.
+        use fastsc_graph::hash::StableHasher;
+        let pinned: [(Device, [u64; 11]); 5] = [
+            (
+                Device::grid(2, 2, 2020),
+                [
+                    0xb206_c10d_6ed8_1de6,
+                    0x191f_698e_7cfb_2b01,
+                    0x2eee_5e4a_83a6_f644,
+                    0xa1a6_3947_a3b0_ab9f,
+                    0x6900_ecf2_84e6_798a,
+                    0x83bd_bb56_d18c_8898,
+                    0x7e9b_ee06_cf04_a1eb,
+                    0x0ea1_010f_7d9f_4b4f,
+                    0x7872_a8ac_d69b_174c,
+                    0x09b4_8239_fc66_c8de,
+                    0x648f_d008_1d80_8dfe,
+                ],
+            ),
+            (
+                Device::grid(3, 3, 2020),
+                [
+                    0xb206_c10d_6ed8_1de6,
+                    0x191f_698e_7cfb_2b01,
+                    0x2eee_5e4a_83a6_f644,
+                    0xa1a6_3947_a3b0_ab9f,
+                    0x6900_ecf2_84e6_798a,
+                    0x83bd_bb56_d18c_8898,
+                    0x7e9b_ee06_cf04_a1eb,
+                    0x0ea1_010f_7d9f_4b4f,
+                    0xc300_1024_8717_7b14,
+                    0x09b4_8239_fc66_c8de,
+                    0x648f_d008_1d80_8dfe,
+                ],
+            ),
+            (
+                Device::grid(4, 4, 2020),
+                [
+                    0xd331_3a4e_a85d_012b,
+                    0xeec5_a6ca_7b07_60b7,
+                    0x233a_5132_0e9d_1b01,
+                    0x48b2_c349_1f91_9265,
+                    0xc8b2_ff4b_ee02_4cfb,
+                    0x9bc6_c7eb_2bd2_b17d,
+                    0xc4f9_9c15_2aa5_b713,
+                    0x6174_5376_18d8_48df,
+                    0x8b89_7cb9_9492_982e,
+                    0xfe45_c570_bcba_9636,
+                    0x5f45_3779_9d5f_f9e7,
+                ],
+            ),
+            (
+                Device::grid(3, 3, 7),
+                [
+                    0xb7af_8e9b_db01_bccf,
+                    0xab39_f750_f136_b6f4,
+                    0xe1d1_e5e8_6c9e_4d41,
+                    0x063f_d7f3_4c92_6551,
+                    0x47c6_784f_ec7c_6510,
+                    0x5c8b_c1e7_ce84_af74,
+                    0xb2e6_d1dd_7fc7_aadd,
+                    0xa026_5ab0_f0d2_6da0,
+                    0xd78b_f3c8_dafa_0373,
+                    0x120f_f7c4_8a29_8892,
+                    0x7ed4_de5a_b228_2013,
+                ],
+            ),
+            (
+                Device::grid(4, 4, 23),
+                [
+                    0xabd7_d6d6_b04a_1a81,
+                    0xa54f_23e9_6c7c_0c2e,
+                    0x5b88_6c8f_a4bd_a061,
+                    0x4856_ac08_7189_9290,
+                    0x6a6d_4887_b680_3361,
+                    0x658f_3cbe_f6b0_1096,
+                    0x7c5c_2538_dfdc_d6ad,
+                    0x05d5_016d_2b9c_8070,
+                    0xedda_68d2_4d1a_160a,
+                    0x365d_9286_44b9_7f8e,
+                    0x24cd_05d5_d74b_9916,
+                ],
+            ),
+        ];
+        for (device, digests) in pinned {
+            let band = reachable_interaction_band(&device).expect("reachable band");
+            let alpha = mean_anharmonicity(&device);
+            for (k, &expected) in (1..=11).zip(&digests) {
+                let values = smt_find(k, band, alpha, TOL).expect("fits");
+                let mut h = StableHasher::new();
+                values.iter().for_each(|&v| h.write_f64(v));
+                assert_eq!(h.finish(), expected, "k = {k} on {band:?}, alpha {alpha:?}");
+            }
+        }
+    }
 }

@@ -477,6 +477,30 @@ fn boundary_crossing_partitioned_compiles_are_reproducible() {
 }
 
 #[test]
+fn auto_partitioned_sixteen_by_sixteen_compiles_are_reproducible() {
+    // Auto-capped regions of a 16x16 mesh include one with no couplings:
+    // its static coloring has zero colors, and Baseline S/G must take the
+    // empty assignment instead of asking the solver for zero frequencies.
+    // Every strategy must compile and reproduce bit-identically.
+    let program = Benchmark::Xeb(256, 2).build(7);
+    for seed in [2020, 7] {
+        for strategy in Strategy::all() {
+            let compile = || {
+                Compiler::new(Device::grid(16, 16, seed), CompilerConfig::with_partition_auto())
+                    .compile(&program, strategy)
+                    .unwrap_or_else(|e| panic!("seed {seed}, {strategy}: {e}"))
+            };
+            let a = compile();
+            assert_eq!(
+                a.schedule,
+                compile().schedule,
+                "seed {seed}, {strategy}: auto-partitioned compile is not reproducible"
+            );
+        }
+    }
+}
+
+#[test]
 fn scalability_tiers_compile_partitioned_and_reproduce() {
     // The shared scalability ladder (64 / 256 / 1024-qubit grids with
     // proportional XEB programs) must compile through the partitioned
